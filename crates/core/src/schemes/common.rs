@@ -44,7 +44,7 @@ pub struct ExecPhase {
 pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
     let chunks = job.chunks();
     let Prediction { mut queues, stats: predict_stats } =
-        predict(job.table.dfa(), job.input, &chunks, job.config.lookback, job.spec);
+        predict(job.table, job.input, &chunks, job.config.lookback, job.spec);
     // PM stores its k speculative paths in the thread's own registers, so the
     // own-record window must fit them.
     let own_cap = job.config.vr_end_registers.max(k);

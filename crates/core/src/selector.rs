@@ -11,8 +11,9 @@
 use gspecpal_fsm::profile::{convergence_profile, ConvergenceProfile};
 use gspecpal_fsm::Dfa;
 
-use crate::predict::lookback_queue;
+use crate::predict::{FirstStepImages, Walk};
 use crate::run::SchemeKind;
+use crate::table::DeviceTable;
 
 /// Offline profile of one (FSM, training slice) pair — the inputs to the
 /// decision tree, and the per-FSM columns of Table II.
@@ -97,6 +98,22 @@ impl Selector {
     /// Collects the offline profile of `dfa` over `training` (the paper uses
     /// a randomly selected 1 MB slice, 0.5% of each input group).
     pub fn profile(&self, dfa: &Dfa, training: &[u8]) -> SelectorProfile {
+        self.profile_with(dfa, &FirstStepImages::new(dfa), training)
+    }
+
+    /// [`Selector::profile`] of `table`'s machine, building the lookback
+    /// walk's first-step images in the table's memo so the predictor reuses
+    /// them when the table serves.
+    pub fn profile_table(&self, table: &DeviceTable<'_>, training: &[u8]) -> SelectorProfile {
+        self.profile_with(table.dfa(), table.first_step_images(), training)
+    }
+
+    fn profile_with(
+        &self,
+        dfa: &Dfa,
+        images: &FirstStepImages,
+        training: &[u8],
+    ) -> SelectorProfile {
         let t0 = std::time::Instant::now();
         let boundaries = self.boundaries.max(self.portions).min(training.len().max(1));
 
@@ -109,6 +126,7 @@ impl Selector {
         let mut spec4_hits = 0u32;
         let mut worst_rank = 1usize;
         let mut total = 0u32;
+        let mut walk = Walk::new(dfa);
         for b in 0..boundaries {
             // Boundary positions spread evenly, skipping position 0.
             let pos = (b + 1) * training.len() / (boundaries + 1);
@@ -116,8 +134,8 @@ impl Selector {
                 continue;
             }
             let truth = trace[pos - 1];
-            let queue = lookback_queue(dfa, &training[pos - self.lookback..pos]);
-            let rank = queue.rank_of(truth).expect("containment property") + 1;
+            walk.run(dfa, images, &training[pos - self.lookback..pos]);
+            let rank = walk.rank_of(truth).expect("containment property") + 1;
             total += 1;
             worst_rank = worst_rank.max(rank);
             let portion = (pos * self.portions / training.len().max(1)).min(self.portions - 1);

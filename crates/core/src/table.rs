@@ -18,6 +18,8 @@
 use gspecpal_fsm::{Dfa, FrequencyProfile, StateId};
 use gspecpal_gpu::{DeviceSpec, ThreadCtx};
 
+use crate::predict::FirstStepImages;
+
 use std::ops::Range;
 
 /// Global-memory region id for the input stream.
@@ -44,13 +46,21 @@ pub struct DeviceTable<'a> {
     hot_rows: u32,
     /// For `Hashed`: per-state cached flag (top-frequency states).
     hot_set: Vec<bool>,
+    /// Host-side memo for the predictor's all-state walk (no device cost).
+    images: FirstStepImages,
 }
 
 impl<'a> DeviceTable<'a> {
     /// A transformed-layout table over a frequency-permuted DFA with the
     /// given number of resident hot rows.
     pub fn transformed(dfa: &'a Dfa, hot_rows: u32) -> Self {
-        DeviceTable { dfa, layout: TableLayout::Transformed, hot_rows, hot_set: Vec::new() }
+        DeviceTable {
+            dfa,
+            layout: TableLayout::Transformed,
+            hot_rows,
+            hot_set: Vec::new(),
+            images: FirstStepImages::new(dfa),
+        }
     }
 
     /// A hashed-layout table: the `hot_rows` most frequent states (per
@@ -60,7 +70,13 @@ impl<'a> DeviceTable<'a> {
         for &s in profile.ranked_states().iter().take(hot_rows as usize) {
             hot_set[s as usize] = true;
         }
-        DeviceTable { dfa, layout: TableLayout::Hashed, hot_rows, hot_set }
+        DeviceTable {
+            dfa,
+            layout: TableLayout::Hashed,
+            hot_rows,
+            hot_set,
+            images: FirstStepImages::new(dfa),
+        }
     }
 
     /// Fraction of shared memory the hot table must leave free for the
@@ -124,6 +140,12 @@ impl<'a> DeviceTable<'a> {
     /// The underlying machine.
     pub fn dfa(&self) -> &Dfa {
         self.dfa
+    }
+
+    /// The machine's first-step images, built as the predictor needs them
+    /// and shared by every job run on this table.
+    pub fn first_step_images(&self) -> &FirstStepImages {
+        &self.images
     }
 
     /// The layout in use.

@@ -43,7 +43,22 @@ impl ProductAccept {
 /// permutation automaton (e.g. a mod-m counter), no two product states with
 /// different `b`-components ever merge — the structural trick the paper's
 /// hard benchmarks rely on (cf. div7 in Figure 1).
+///
+/// Visited pairs are indexed in a dense `|A|·|B|` array while that has at
+/// most 2²⁴ entries, and in a map of the reachable pairs beyond it.
 pub fn product(a: &Dfa, b: &Dfa, accept: ProductAccept) -> Result<Dfa, FsmError> {
+    product_with_limit(a, b, accept, DENSE_PAIR_LIMIT)
+}
+
+/// Largest `|A|·|B|` whose pair index is a dense array (64 MiB of ids).
+const DENSE_PAIR_LIMIT: usize = 1 << 24;
+
+fn product_with_limit(
+    a: &Dfa,
+    b: &Dfa,
+    accept: ProductAccept,
+    dense_limit: usize,
+) -> Result<Dfa, FsmError> {
     let ca = a.classes().clone();
     let cb = b.classes().clone();
     let classes =
@@ -51,33 +66,63 @@ pub fn product(a: &Dfa, b: &Dfa, accept: ProductAccept) -> Result<Dfa, FsmError>
     let reps = classes.representatives();
 
     let mut builder = DfaBuilder::new(classes.clone());
-    let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-    let mut queue: VecDeque<(StateId, StateId)> = VecDeque::new();
-
-    let start_pair = (a.start(), b.start());
+    let mut index = PairIndex::new(a.n_states() as usize, b.n_states() as usize, dense_limit);
+    // `pairs[id]` is product state `id`'s pair; ids are assigned in BFS
+    // order, so the pairs past the cursor are the queue.
+    let mut pairs = vec![(a.start(), b.start())];
     let start =
         builder.add_state(accept.apply(a.is_accepting(a.start()), b.is_accepting(b.start())));
-    index.insert(start_pair, start);
-    queue.push_back(start_pair);
-
-    while let Some((sa, sb)) = queue.pop_front() {
-        let from = index[&(sa, sb)];
+    index.get_or_insert(pairs[0], || start);
+    let mut from = start;
+    while let Some(&(sa, sb)) = pairs.get(from as usize) {
         for (c, &rep) in reps.iter().enumerate() {
-            let ta = a.next(sa, rep);
-            let tb = b.next(sb, rep);
-            let to = match index.get(&(ta, tb)) {
-                Some(&t) => t,
-                None => {
-                    let t = builder.add_state(accept.apply(a.is_accepting(ta), b.is_accepting(tb)));
-                    index.insert((ta, tb), t);
-                    queue.push_back((ta, tb));
-                    t
-                }
-            };
+            let pair = (a.next(sa, rep), b.next(sb, rep));
+            let to = index.get_or_insert(pair, || {
+                pairs.push(pair);
+                builder.add_state(accept.apply(a.is_accepting(pair.0), b.is_accepting(pair.1)))
+            });
             builder.set_transition(from, c as u16, to)?;
         }
+        from += 1;
     }
     builder.build(start)
+}
+
+/// Product state ids of the visited pairs: a dense `|A|·|B|` array (pair
+/// `(sa, sb)` at `sa * |B| + sb`) when that is at most the dense limit, a
+/// map of the reachable pairs otherwise.
+enum PairIndex {
+    Dense { nb: usize, ids: Vec<StateId> },
+    Sparse(HashMap<(StateId, StateId), StateId>),
+}
+
+impl PairIndex {
+    fn new(na: usize, nb: usize, dense_limit: usize) -> Self {
+        match na.checked_mul(nb) {
+            Some(pairs) if pairs <= dense_limit => {
+                PairIndex::Dense { nb, ids: vec![StateId::MAX; pairs] }
+            }
+            _ => PairIndex::Sparse(HashMap::new()),
+        }
+    }
+
+    /// The id of `pair`, assigning `new()` on its first visit.
+    fn get_or_insert(
+        &mut self,
+        pair: (StateId, StateId),
+        new: impl FnOnce() -> StateId,
+    ) -> StateId {
+        match self {
+            PairIndex::Dense { nb, ids } => {
+                let slot = &mut ids[pair.0 as usize * *nb + pair.1 as usize];
+                if *slot == StateId::MAX {
+                    *slot = new();
+                }
+                *slot
+            }
+            PairIndex::Sparse(map) => *map.entry(pair).or_insert_with(new),
+        }
+    }
 }
 
 /// Union of two machines (accepts when either accepts).
@@ -309,6 +354,27 @@ mod tests {
     use super::*;
     use crate::examples::{div7, mod_counter};
     use crate::profile::unique_states_after;
+
+    #[test]
+    fn sparse_pair_index_builds_the_same_product() {
+        use crate::random::random_dfa;
+        for seed in 0..40u64 {
+            let a = random_dfa(seed, 1 + (seed % 17) as u32, 1 + (seed % 5) as u16);
+            let b = random_dfa(seed ^ 0xb, 1 + (seed % 11) as u32, 1 + (seed % 3) as u16);
+            for accept in [
+                ProductAccept::Both,
+                ProductAccept::Either,
+                ProductAccept::First,
+                ProductAccept::Xor,
+            ] {
+                assert_eq!(
+                    product_with_limit(&a, &b, accept, 0).unwrap(),
+                    product(&a, &b, accept).unwrap(),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn union_of_counters() {

@@ -2,10 +2,10 @@
 //!
 //! This crate provides everything the paper's framework consumes from "an FSM
 //! library": dense-table [`Dfa`]s, Thompson-style [`Nfa`]s, subset-construction
-//! determinization, Hopcroft minimization, byte-class alphabet compression,
-//! offline profiling (state frequencies and the convergence metric used by the
-//! scheme selector), the frequency-based DFA transformation of §IV-B, and the
-//! FSM combinators used to build the synthetic workload suite.
+//! determinization, partition-refinement minimization, byte-class alphabet
+//! compression, offline profiling (state frequencies and the convergence
+//! metric used by the scheme selector), the frequency-based DFA
+//! transformation of §IV-B, and the FSM combinators used to build the synthetic workload suite.
 //!
 //! The FSM model follows the paper's §II-A: a tuple `(Q, Σ, q0, δ, F)` where
 //! `δ` is a total transition function stored as a dense table. All machines

@@ -34,7 +34,7 @@ pub struct CompileConfig {
     pub case_insensitive: bool,
     /// Determinization state budget.
     pub state_limit: usize,
-    /// Run Hopcroft minimization on the result (default on).
+    /// Minimize the result (default on).
     pub minimize: bool,
 }
 

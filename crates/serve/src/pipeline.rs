@@ -123,8 +123,10 @@ impl<'a> ServeMachine<'a> {
     /// pick, then the spec-k surface cheapest-first, then the offline
     /// pick's sequential-stitch variant).
     pub fn prepare(spec: &DeviceSpec, dfa: &'a Dfa, training: &[u8]) -> Self {
+        let hot = DeviceTable::hot_rows_for_device(dfa, TableLayout::Transformed, spec);
+        let table = DeviceTable::transformed(dfa, hot);
         let selector = Selector::default();
-        let profile = selector.profile(dfa, training);
+        let profile = selector.profile_table(&table, training);
         let scheme = selector.select(&profile);
         // SFA's per-byte work is its effective mapping width, measured
         // during profiling as the surviving unique-state count.
@@ -146,14 +148,7 @@ impl<'a> ServeMachine<'a> {
             predicted_millicost: arms[0].predicted_millicost + 1,
             ..arms[0]
         });
-        let hot = DeviceTable::hot_rows_for_device(dfa, TableLayout::Transformed, spec);
-        ServeMachine {
-            table: DeviceTable::transformed(dfa, hot),
-            scheme,
-            sfa_width,
-            arms,
-            class: PriorityClass::Bulk,
-        }
+        ServeMachine { table, scheme, sfa_width, arms, class: PriorityClass::Bulk }
     }
 
     /// Like [`ServeMachine::prepare`] with the scheme pinned — for tests

@@ -27,7 +27,8 @@ fn main() {
     let spec = DeviceSpec::rtx3090();
 
     // Phase 1: all-state lookback-2 prediction (§IV-A).
-    let pred = predict(&d, &input, &chunks, 2, &spec);
+    let table = DeviceTable::transformed(&d, d.n_states());
+    let pred = predict(&table, &input, &chunks, 2, &spec);
     println!("speculation queues (top-2 of each, as in Fig 2's spec-2):");
     for (i, q) in pred.queues.iter().enumerate() {
         let top: Vec<String> = q.candidates().take(2).map(|s| format!("s{s}")).collect();
@@ -35,7 +36,6 @@ fn main() {
     }
 
     // Phase 2+3: run PM with spec-2 and narrate the result.
-    let table = DeviceTable::transformed(&d, d.n_states());
     let config = SchemeConfig { n_chunks: n, spec_k: 2, ..SchemeConfig::default() };
     let job = Job::new(&spec, &table, &input, config).expect("valid");
     let out = run_scheme(SchemeKind::Pm, &job);

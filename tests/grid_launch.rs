@@ -157,8 +157,9 @@ fn prediction_cost_scales_past_one_block() {
     let input: Vec<u8> = b"10110101".repeat(64);
     let chunks_64 = gspecpal::partition::partition(input.len(), 64);
     let chunks_256 = gspecpal::partition::partition(input.len(), 256);
-    let one_block = predict(&d, &input, &chunks_64, 2, &spec).stats;
-    let four_blocks = predict(&d, &input, &chunks_256, 2, &spec).stats;
+    let table = DeviceTable::transformed(&d, d.n_states());
+    let one_block = predict(&table, &input, &chunks_64, 2, &spec).stats;
+    let four_blocks = predict(&table, &input, &chunks_256, 2, &spec).stats;
     // On a 1-SM, 4-resident-block device the four blocks' prediction rounds
     // cost strictly more cycles than one block's (more chunks → more work),
     // not the same (the clamp would have frozen the cost at 64 threads).
